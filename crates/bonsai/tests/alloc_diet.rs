@@ -12,25 +12,40 @@
 //! The test is single-threaded, so the whole pipeline (including the
 //! collector's throttled unpin collects and grace-period recycling) runs
 //! deterministically: a zero count here is a property, not a lucky
-//! schedule. The companion capacity-flat assertions (arena chunk counts)
+//! schedule. The allocator counts per thread, so the other tests in this
+//! binary, which the harness runs concurrently, cannot add to the count a
+//! test reads. The companion capacity-flat assertions (arena chunk counts)
 //! live in `range_map.rs`/`tree.rs` unit tests and keep holding under
 //! concurrency.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
 use bonsai::{BonsaiTree, RangeMap};
 use rcukit::Collector;
 
 /// Counts every allocation (alloc/realloc/alloc_zeroed) passed through to
-/// the system allocator.
+/// the system allocator, per allocating thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. `const`-initialized with no
+    /// destructor, so reading it never allocates and never fails.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.set(ALLOCS.get() + 1);
+}
+
+/// Allocations made by the calling thread so far.
+fn allocs() -> u64 {
+    ALLOCS.get()
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count_alloc();
         // Safety: forwarded contract.
         unsafe { System.alloc(layout) }
     }
@@ -41,13 +56,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count_alloc();
         // Safety: forwarded contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count_alloc();
         // Safety: forwarded contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -95,9 +110,9 @@ fn steady_state_churn_allocates_nothing() {
 
     // Steady state: thousands of further updates, same shape. Single
     // thread ⇒ deterministic; the count must be exactly zero.
-    let before = ALLOCS.load(Relaxed);
+    let before = allocs();
     churn(&m, 40);
-    let after = ALLOCS.load(Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -139,13 +154,13 @@ fn fork_allocates_o_depth_not_o_n() {
     // the measured runs count only what a fork inherently allocates.
     drop(small.fork());
 
-    let before = ALLOCS.load(Relaxed);
+    let before = allocs();
     let big_child = big.fork();
-    let big_fork_allocs = ALLOCS.load(Relaxed) - before;
+    let big_fork_allocs = allocs() - before;
 
-    let before = ALLOCS.load(Relaxed);
+    let before = allocs();
     let small_child = small.fork();
-    let small_fork_allocs = ALLOCS.load(Relaxed) - before;
+    let small_fork_allocs = allocs() - before;
 
     assert!(
         big_fork_allocs <= 34,
@@ -184,13 +199,13 @@ fn range_map_fork_allocates_o_stripes_not_o_regions() {
     }
     drop(small.fork());
 
-    let before = ALLOCS.load(Relaxed);
+    let before = allocs();
     let big_child = big.fork();
-    let big_fork_allocs = ALLOCS.load(Relaxed) - before;
+    let big_fork_allocs = allocs() - before;
 
-    let before = ALLOCS.load(Relaxed);
+    let before = allocs();
     let small_child = small.fork();
-    let small_fork_allocs = ALLOCS.load(Relaxed) - before;
+    let small_fork_allocs = allocs() - before;
 
     assert_eq!(
         big_fork_allocs, small_fork_allocs,

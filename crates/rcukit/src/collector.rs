@@ -25,7 +25,8 @@
 //! shards one lock at a time — there is no global registry lock for
 //! advancing writers to convoy on. Reader pin/unpin takes **no** lock at
 //! all (see [`Guard`](crate::Guard)): the hot path is the thread's own
-//! status word plus a read of the global epoch word.
+//! status word plus a read of the global epoch word, which sits on a cache
+//! line of its own so that writers' statistics RMWs never invalidate it.
 //!
 //! [`GRACE_EPOCHS`]: crate::GRACE_EPOCHS
 
@@ -33,6 +34,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::mem;
+use std::ops::Deref;
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, SeqCst};
 use std::sync::Arc;
 use std::thread;
@@ -88,22 +90,52 @@ fn default_shards() -> usize {
         .next_power_of_two()
 }
 
+/// Keeps the wrapped value alone on its cache line. 128 bytes covers the
+/// spatial prefetcher's line pairs on x86-64 and the 128-byte lines of
+/// some ARM cores.
+#[repr(align(128))]
+pub(crate) struct CachePadded<T>(T);
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// Per-thread state shared between a [`LocalHandle`], its [`Guard`]s, and the
 /// collector's registry.
+///
+/// Aligned to a cache line so that two threads' status words — each
+/// written on every pin and unpin — never share one, and so that the
+/// `Arc`'s reference counts sit on a different line from the status word.
+///
+/// Every field except `status` and `bag` is *owner-thread* state: only the
+/// thread currently using the handle reads or writes it, so plain
+/// `Relaxed` loads and stores suffice (no RMW). A handle moves between
+/// threads only by a synchronizing hand-off.
+#[repr(align(128))]
 pub(crate) struct LocalState {
     /// `0` when unpinned, `(epoch << 1) | 1` while pinned.
     pub(crate) status: AtomicU64,
     /// Number of live guards for this handle (nesting depth). Only the owning
     /// thread mutates this; the collector never reads it.
     pub(crate) guard_count: AtomicUsize,
-    /// Set when this registration has no owning [`LocalHandle`] (the one-shot
-    /// orphan pin path) or its handle was dropped while an owned guard was
-    /// still live; the last guard then unregisters the state.
+    /// Set when the state's [`LocalHandle`] is gone while a guard is still
+    /// live — the one-shot orphan pin path, or a cached handle torn down at
+    /// thread exit under a guard stored elsewhere in TLS. The last guard
+    /// then unregisters the state as its final action.
     pub(crate) orphaned: AtomicBool,
     /// Set when an outermost unpin sealed garbage but skipped the
     /// opportunistic collect because the thread still held other guards;
     /// this handle's next guard-free unpin collects instead.
     pub(crate) collect_pending: AtomicBool,
+    /// Whether `bag` holds anything. Written only under the bag lock (by
+    /// `Inner::defer` and `Inner::seal_bag`), and only by the owner
+    /// thread, so the owner can read it without the lock: an unpin that
+    /// retired nothing skips the bag lock entirely.
+    pub(crate) bag_nonempty: AtomicBool,
     /// Garbage-bearing guard-free unpins since this handle last ran the
     /// opportunistic collect — the collect-throttle counter. Only the
     /// owning thread reads or writes it (plain load/store, no RMW).
@@ -124,6 +156,7 @@ impl LocalState {
             guard_count: AtomicUsize::new(0),
             orphaned: AtomicBool::new(false),
             collect_pending: AtomicBool::new(false),
+            bag_nonempty: AtomicBool::new(false),
             garbage_unpins: AtomicUsize::new(0),
             shard,
             bag: Mutex::new(Bag::new(0)),
@@ -170,8 +203,10 @@ impl Shard {
 
 /// Shared collector state behind the [`Collector`] handle.
 pub(crate) struct Inner {
-    /// The global epoch.
-    pub(crate) epoch: AtomicU64,
+    /// The global epoch: read by every pin, written only by advances. On
+    /// its own cache line, away from the statistics counters that writers
+    /// RMW on every retirement.
+    pub(crate) epoch: CachePadded<AtomicU64>,
     /// Per-shard registries and sealed-bag queues.
     shards: Box<[Shard]>,
     /// Round-robin cursor assigning home shards to new registrations.
@@ -205,7 +240,12 @@ pub(crate) struct Inner {
     /// in debug builds only: one shared counter RMW'd by every shard-lock
     /// taker would reintroduce exactly the cross-shard cache-line traffic
     /// the sharding removed (release builds report 0).
-    registry_locks: AtomicU64,
+    pub(crate) registry_locks: AtomicU64,
+    /// Diagnostic: total per-thread bag-lock acquisitions, counted in debug
+    /// builds only, like `registry_locks`. An unpin that retired nothing
+    /// must not move it.
+    #[cfg_attr(not(test), allow(dead_code))] // read by the pin-flatness test
+    pub(crate) bag_locks: AtomicU64,
     /// Number of per-thread TLS cache entries (see [`HANDLES`]) currently
     /// holding a handle to this collector. Used by the cache sweep to tell
     /// "alive only because caches hold it" apart from "externally owned":
@@ -242,6 +282,18 @@ impl Inner {
             self.registry_locks.fetch_add(1, Relaxed);
         }
         self.shards[shard].registry.lock().unwrap()
+    }
+
+    /// Locks `local`'s bag, counting the acquisition in debug builds (the
+    /// pin-flatness test asserts that unpins with nothing retired never
+    /// reach here).
+    fn bag<'l>(&self, local: &'l LocalState) -> MutexGuard<'l, Bag> {
+        if cfg!(debug_assertions) {
+            // ordering: Relaxed — diagnostic counter; nothing is published
+            // through it.
+            self.bag_locks.fetch_add(1, Relaxed);
+        }
+        local.bag.lock().unwrap()
     }
 
     /// Attempts one epoch advance. Returns `true` if the global epoch moved.
@@ -379,13 +431,20 @@ impl Inner {
     }
 
     /// Moves a thread's local bag (if non-empty) into its home shard's
-    /// sealed queue. Returns whether anything was sealed.
+    /// sealed queue. Returns whether anything was sealed. Must be called by
+    /// `local`'s owner thread; takes the bag lock only when the owner's
+    /// `bag_nonempty` hint says there is something to seal.
     pub(crate) fn seal_bag(&self, local: &LocalState) -> bool {
+        // ordering: Relaxed — owner-thread hint: only this thread writes it
+        // (see `LocalState::bag_nonempty`), so it reads its own last store.
+        if !local.bag_nonempty.load(Relaxed) {
+            return false;
+        }
         let sealed = {
-            let mut bag = local.bag.lock().unwrap();
-            if bag.is_empty() {
-                return false;
-            }
+            let mut bag = self.bag(local);
+            debug_assert!(!bag.is_empty(), "bag_nonempty hint out of date");
+            // ordering: Relaxed — owner-thread hint, written under the lock.
+            local.bag_nonempty.store(false, Relaxed);
             let epoch = bag.epoch;
             mem::replace(&mut *bag, self.pooled_bag(epoch))
         };
@@ -409,7 +468,7 @@ impl Inner {
         // period, and the epoch word is monotone.
         let tag = self.epoch.load(Relaxed);
         let sealed = {
-            let mut bag = local.bag.lock().unwrap();
+            let mut bag = self.bag(local);
             let stale = if !bag.is_empty() && bag.epoch != tag {
                 Some(mem::replace(&mut *bag, self.pooled_bag(tag)))
             } else {
@@ -422,6 +481,9 @@ impl Inner {
             } else {
                 None
             };
+            // ordering: Relaxed — owner-thread hint, written under the lock
+            // (see `LocalState::bag_nonempty`).
+            local.bag_nonempty.store(!bag.is_empty(), Relaxed);
             (stale, full)
         };
         // ordering: Relaxed (both) — statistics counters.
@@ -452,10 +514,25 @@ impl Inner {
         }
     }
 
-    /// Removes `local` from its home shard's registry (idempotent).
-    pub(crate) fn unregister(&self, local: &Arc<LocalState>) {
-        self.registry(local.shard)
-            .retain(|l| !Arc::ptr_eq(l, local));
+    /// Removes the state at `local` from its home shard's registry.
+    ///
+    /// The registry's `Arc` may be the state's last reference, so the state
+    /// may be freed before this returns: `local` is a raw pointer, and the
+    /// caller must not touch the state afterwards. Each state is
+    /// unregistered exactly once (debug-asserted).
+    pub(crate) fn unregister(&self, local: *const LocalState) {
+        // Safety: the caller passes a registered state, which the registry's
+        // `Arc` keeps alive until the removal below.
+        let shard = unsafe { (*local).shard };
+        let removed = {
+            let mut registry = self.registry(shard);
+            let at = registry.iter().position(|l| Arc::as_ptr(l) == local);
+            at.map(|i| registry.swap_remove(i))
+        };
+        debug_assert!(removed.is_some(), "thread state unregistered twice");
+        // Dropped outside the registry lock: freeing the state drops its
+        // (empty) bag mutex, which needs no lock of ours.
+        drop(removed);
     }
 
     /// One non-blocking advance-and-reclaim step. Returns the number of
@@ -653,7 +730,7 @@ impl Collector {
         let shards = shards.max(1).next_power_of_two();
         Self {
             inner: Arc::new(Inner {
-                epoch: AtomicU64::new(0),
+                epoch: CachePadded(AtomicU64::new(0)),
                 shards: (0..shards).map(|_| Shard::new()).collect(),
                 next_shard: AtomicUsize::new(0),
                 epochs_advanced: AtomicU64::new(0),
@@ -665,6 +742,7 @@ impl Collector {
                 unreclaimed_bytes: AtomicU64::new(0),
                 peak_unreclaimed_bytes: AtomicU64::new(0),
                 registry_locks: AtomicU64::new(0),
+                bag_locks: AtomicU64::new(0),
                 tls_cached: AtomicUsize::new(0),
                 unpin_collect_period: AtomicUsize::new(UNPIN_COLLECT_PERIOD),
                 bag_pool: Mutex::new(Vec::new()),
@@ -721,9 +799,12 @@ impl Collector {
     ///
     /// This is the ergonomic entry point for code that does not want to
     /// thread a [`LocalHandle`] around. The cached handle is unregistered
-    /// when the thread exits. The hot path (cache hit) performs no shared
-    /// atomic read-modify-write: the guard borrows `self` instead of
-    /// cloning the collector handle.
+    /// when the thread exits. A cache hit costs a thread-local lookup on
+    /// top of [`LocalHandle::pin`]'s fast path — one fence, plain loads and
+    /// stores of thread-owned words, and a read of the global epoch — and
+    /// performs no atomic read-modify-write, takes no lock, and touches no
+    /// reference count: the guard borrows `self` and the cached
+    /// per-thread state instead of cloning either.
     pub fn pin(&self) -> Guard<'_> {
         // Model-checking tier: the TLS handle cache is deliberately outside
         // the model's scope. A cached handle is torn down by the OS
@@ -757,7 +838,9 @@ impl Collector {
                 // not run or evicted nothing (else we returned above), so
                 // the entries vec is unchanged.
                 Ok(if let Some(p) = pos {
-                    Guard::enter_owned(self, cache.entries[p].handle.local.clone())
+                    // Safety: a cached state stays registered while a guard
+                    // on it lives (see `Guard::enter`).
+                    unsafe { Guard::enter(self, Arc::as_ptr(&cache.entries[p].handle.local)) }
                 } else {
                     self.register_into(cache)
                 })
@@ -800,7 +883,8 @@ impl Collector {
                 let cache = &mut *cache;
                 let id = self.id();
                 if let Some(entry) = cache.entries.iter().find(|e| e.id == id) {
-                    Guard::enter_owned(self, entry.handle.local.clone())
+                    // Safety: as in `pin`.
+                    unsafe { Guard::enter(self, Arc::as_ptr(&entry.handle.local)) }
                 } else {
                     self.register_into(cache)
                 }
@@ -836,7 +920,8 @@ impl Collector {
     #[cfg_attr(loom, allow(dead_code))] // TLS cache layer is outside the model's scope
     fn register_into(&self, cache: &mut HandleCache) -> Guard<'_> {
         let handle = self.register();
-        let guard = Guard::enter_owned(self, handle.local.clone());
+        // Safety: as in `pin`.
+        let guard = unsafe { Guard::enter(self, Arc::as_ptr(&handle.local)) };
         cache.entries.push(CachedHandle {
             id: self.id(),
             handle,
@@ -861,7 +946,9 @@ impl Collector {
         // ordering: Relaxed — same-thread flag: the guard that consults it
         // lives on this thread (a handle serves one thread at a time).
         local.orphaned.store(true, Relaxed);
-        Guard::enter_owned(self, local)
+        // Safety: the registry holds the state until this guard, its only
+        // user, unregisters it as its final action (see `Guard::enter`).
+        unsafe { Guard::enter(self, Arc::as_ptr(&local)) }
     }
 
     /// Blocks until a full grace period has elapsed: every read-side critical
@@ -912,7 +999,7 @@ impl Collector {
             let registry = self.inner.registry(shard);
             registered_threads += registry.len();
             for local in registry.iter() {
-                let bag = local.bag.lock().unwrap();
+                let bag = self.inner.bag(local);
                 if !bag.is_empty() {
                     pending_bags += 1;
                     pending_objects += bag.objects();
@@ -949,6 +1036,17 @@ impl Collector {
     #[doc(hidden)]
     pub fn handle_count(&self) -> usize {
         Arc::strong_count(&self.inner)
+    }
+
+    /// This thread's cached state for the collector, if `pin` cached one —
+    /// as a `Weak`, so that looking does not move the strong count.
+    #[cfg(test)]
+    pub(crate) fn cached_state(&self) -> Option<std::sync::Weak<LocalState>> {
+        HANDLES.with(|cache| {
+            let cache = cache.borrow();
+            let entry = cache.entries.iter().find(|e| e.id == self.id())?;
+            Some(Arc::downgrade(&entry.handle.local))
+        })
     }
 }
 
@@ -1013,13 +1111,18 @@ impl LocalHandle {
     /// ```
     ///
     /// Pinning is re-entrant: nested guards share the outermost guard's
-    /// epoch. The pin performs **no** shared atomic read-modify-write and
-    /// takes no lock — it stores the thread's own status word (an
-    /// owner-written cache line), issues one StoreLoad fence, and *reads*
-    /// the global epoch word — so readers never contend with each other,
-    /// however many cores are faulting at once.
+    /// epoch. The outermost pin stores the thread's own status word (on a
+    /// cache line no other thread writes), issues one StoreLoad fence, and
+    /// re-reads the global epoch word; the matching unpin is one `Release`
+    /// store clearing the status. Everything else on the path is a plain
+    /// load or store of words only this thread writes: no atomic
+    /// read-modify-write, no lock (an unpin that retired nothing skips the
+    /// bag lock), no reference count — so readers never contend with each
+    /// other, however many cores are faulting at once.
     pub fn pin(&self) -> Guard<'_> {
-        Guard::enter_borrowed(&self.collector, &self.local)
+        // Safety: the guard borrows this handle, and the handle keeps its
+        // state registered until it is dropped.
+        unsafe { Guard::enter(&self.collector, Arc::as_ptr(&self.local)) }
     }
 
     /// Whether this handle currently has a live guard.
@@ -1042,20 +1145,16 @@ impl Drop for LocalHandle {
         // there is no concurrent mutation to order against.
         if self.local.guard_count.load(Relaxed) == 0 {
             self.collector.inner.seal_bag(&self.local);
-            self.collector.inner.unregister(&self.local);
+            self.collector.inner.unregister(Arc::as_ptr(&self.local));
         } else {
-            // Borrow-based guards cannot outlive the handle, but guards
-            // from the TLS-cached `Collector::pin` path hold the state by
-            // `Arc` and can: when thread-exit TLS destruction drops the
-            // cached handle under a live guard stored elsewhere in TLS,
-            // mark the state orphaned so the last guard unregisters it,
-            // then re-check in case that guard dropped concurrently.
-            // ordering: Relaxed — same-thread flag and counter, as above.
+            // Guards from `LocalHandle::pin` cannot outlive the handle, but
+            // guards from the TLS-cached `Collector::pin` path borrow the
+            // collector, not the cached handle, and can: thread-exit TLS
+            // destruction may drop the cached handle under a live guard
+            // stored elsewhere in TLS. The registry's `Arc` keeps the state
+            // alive; mark it orphaned so the last guard unregisters it.
+            // ordering: Relaxed — same-thread flag, as above.
             self.local.orphaned.store(true, Relaxed);
-            if self.local.guard_count.load(Relaxed) == 0 {
-                self.collector.inner.seal_bag(&self.local);
-                self.collector.inner.unregister(&self.local);
-            }
         }
     }
 }
@@ -1390,6 +1489,60 @@ mod tests {
         assert_eq!(fired.load(SeqCst), 1);
         // The fallback registration was cleaned up when its guard dropped.
         assert_eq!(other.stats().registered_threads, 0);
+    }
+
+    /// A guard from the TLS-cached `pin` outlives its cached handle — the
+    /// teardown order of thread exit, driven here by emptying the cache
+    /// under the live guard. The handle's drop must leave the state
+    /// registered (the guard still reads it, and the registry's `Arc` is
+    /// what keeps it alive); the guard's drop must then unregister it
+    /// exactly once (a second unregister trips the debug assertion in
+    /// `Inner::unregister`) and free it, and its garbage must still be
+    /// reclaimed.
+    #[test]
+    fn guard_outliving_its_cached_handle_unregisters_once() {
+        let fired = Arc::new(AtomicUsize::new(0));
+        let c = Collector::new();
+        let baseline = c.stats().registered_threads;
+        let g = c.pin();
+        let state = c.cached_state().expect("pin cached a handle");
+        let evicted = HANDLES.with(|cache| mem::take(&mut cache.borrow_mut().entries));
+        drop(evicted);
+        assert_eq!(c.stats().registered_threads, baseline + 1);
+        assert_eq!(state.strong_count(), 1, "only the registry holds the state");
+        let f = fired.clone();
+        g.defer(move || {
+            f.fetch_add(1, SeqCst);
+        });
+        drop(g);
+        assert_eq!(c.stats().registered_threads, baseline);
+        assert_eq!(state.strong_count(), 0, "the orphaned state was not freed");
+        c.synchronize();
+        assert_eq!(fired.load(SeqCst), 1);
+    }
+
+    /// The same, through real thread exit: a guard parked in a TLS slot
+    /// that is destroyed after the handle cache. The slot is touched before
+    /// the first pin so that its destructor is registered first, which
+    /// runs it last where TLS destructors run in reverse registration
+    /// order (glibc); elsewhere the guard may drop first, which must be
+    /// just as clean.
+    #[test]
+    fn guard_in_tls_outliving_thread_exit_unregisters() {
+        static C: std::sync::OnceLock<Collector> = std::sync::OnceLock::new();
+        thread_local! {
+            static SLOT: RefCell<Option<Guard<'static>>> = const { RefCell::new(None) };
+        }
+        let c = C.get_or_init(Collector::new);
+        let baseline = c.stats().registered_threads;
+        thread::spawn(move || {
+            SLOT.with(|_| ());
+            let g = c.pin();
+            SLOT.with(|slot| *slot.borrow_mut() = Some(g));
+        })
+        .join()
+        .unwrap();
+        assert_eq!(c.stats().registered_threads, baseline);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! * Readers *pin* the current epoch before touching shared pointers and
 //!   *unpin* when done ([`LocalHandle::pin`], the paper's `rcu_read_begin` /
 //!   `rcu_read_end`). The guard **borrows** its handle (`Guard<'_>`), so a
-//!   pin performs zero shared atomic read-modify-writes and takes no lock:
-//!   it is a swap on the thread's own status word plus a read of the global
-//!   epoch. Page-fault-style readers never contend on a shared cache line,
-//!   however many cores fault at once.
+//!   pin performs no atomic read-modify-write, takes no lock and touches
+//!   no reference count: it is a store to the thread's own status word,
+//!   one fence and a read of the global epoch, and the unpin is one
+//!   `Release` store. Page-fault-style readers never contend on a shared
+//!   cache line, however many cores fault at once.
 //! * Writers retire garbage with [`Guard::defer`] or [`Guard::defer_free`]
 //!   (the paper's `rcu_free`). Retired objects are freed only after a *grace
 //!   period*: two epoch advances, which guarantee that every reader that
@@ -129,13 +130,14 @@
 //!
 //! Three orderings carry the proof; everything else is bookkeeping:
 //!
-//! * **Pin publication** — the status-word publish is a `SeqCst` *swap*
-//!   (a full RMW), followed by a re-read of the global epoch, looping until
-//!   the epoch is unchanged across the store. The RMW orders the publish
-//!   before the critical section's pointer loads, and the stable re-read
-//!   guarantees some instant at which the global epoch equalled the
-//!   published value — which is what bounds the epoch to `pinned + 1`
-//!   while the thread stays pinned.
+//! * **Pin publication** — the status-word publish is a `Relaxed` store
+//!   followed by a `SeqCst` fence and a re-read of the global epoch,
+//!   looping until the epoch is unchanged across the store. The fence
+//!   orders the publish before the critical section's pointer loads (and
+//!   pairs with the advance's fence), and the stable re-read guarantees
+//!   some instant at which the global epoch equalled the published value —
+//!   which is what bounds the epoch to `pinned + 1` while the thread stays
+//!   pinned.
 //! * **The `SeqCst` fence in `defer`** — between the caller's unlink store
 //!   and the retirement-tag load sits a StoreLoad fence. Without it, on
 //!   TSO hardware the unlink (often a plain `Release` store of a new root)
@@ -152,11 +154,12 @@
 //!   — the epoch cannot advance past it.
 //!
 //! Registry scans, bag seals, and statistics ride on per-shard mutexes and
-//! `SeqCst` atomics; none of them are on the reader hot path, which touches
-//! only the thread's own status word and the global epoch word. The
-//! hot-path regression test pins in a loop and asserts both that the
-//! collector's `Arc` strong count stays flat (no shared refcount RMW) and
-//! that [`CollectorStats::registry_locks`] does not move (no lock).
+//! statistics RMWs; none of them are on the reader hot path, which touches
+//! only words the thread itself owns and the global epoch word. The
+//! hot-path regression test pins in a loop and asserts that no atomic RMW
+//! is issued, that no registry or bag lock is taken (see
+//! [`CollectorStats::registry_locks`]), and that neither the collector's
+//! nor the per-thread state's `Arc` count moves.
 //!
 //! # Testing tiers
 //!

@@ -10,14 +10,14 @@
 //! synchronized in ways the scheduler does not need to interleave.
 //!
 //! In normal builds the atomic types are thin wrappers over `std`'s that
-//! additionally maintain a **debug-only census of SeqCst read-modify-writes**
-//! (see [`atomic::seqcst_rmw_count`]). The epoch protocol's invariant after
-//! the ordering audit is that no atomic *operation* uses `SeqCst` — every
-//! remaining sequentially consistent point is an explicit
-//! [`atomic::fence`] — and in particular the read-side pin/unpin path
-//! performs zero SeqCst RMWs. The pin-flatness regression test asserts
-//! that via this census. Release builds compile the census away; the
-//! wrappers are `#[repr(transparent)]` and fully inlined.
+//! additionally maintain a **debug-only, per-thread census of atomic
+//! read-modify-writes** of every ordering (see [`atomic::rmw_count`]). The
+//! read-side pin/unpin fast path performs none at all — its only
+//! sequentially consistent point is an explicit [`atomic::fence`], and
+//! everything else is a plain load or store — and the pin-flatness
+//! regression test asserts that via this census. Release builds compile
+//! the census away; the wrappers are `#[repr(transparent)]` and fully
+//! inlined.
 //!
 //! [`loomette`]: https://docs.rs/loom (API-compatible subset, vendored
 //! in-tree as `crates/loomette` because this build environment is offline)
@@ -31,39 +31,35 @@ pub(crate) mod atomic {
 
     pub(crate) use std::sync::atomic::fence;
 
-    /// Debug-only census of atomic read-modify-writes issued with
-    /// `Ordering::SeqCst` through this facade, process-wide. The ordering
-    /// audit's contract is that there are none anywhere in the crate (all
-    /// remaining SeqCst points are explicit fences); the hot-path
-    /// regression test pins in a loop and asserts the census stays flat.
     #[cfg(debug_assertions)]
-    static SEQCST_RMWS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-    /// Current value of the SeqCst-RMW census. Debug builds only — release
-    /// builds omit the bookkeeping entirely.
-    #[cfg(debug_assertions)]
-    #[cfg_attr(not(test), allow(dead_code))] // consumed by the pin-flatness test
-    pub(crate) fn seqcst_rmw_count() -> u64 {
-        // ordering: Relaxed — diagnostic counter.
-        SEQCST_RMWS.load(Ordering::Relaxed)
+    thread_local! {
+        /// Debug-only census of atomic read-modify-writes, of any ordering,
+        /// issued through this facade by the current thread. Per-thread so
+        /// that a test measuring its own code path is not perturbed by
+        /// tests running concurrently in the same process, and so that the
+        /// census itself adds no shared cache-line traffic.
+        static RMWS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
-    /// Tallies one RMW if it was issued with `SeqCst` (debug builds).
+    /// The calling thread's RMW census. Debug builds only — release builds
+    /// omit the bookkeeping entirely.
+    #[cfg(debug_assertions)]
+    #[cfg_attr(not(test), allow(dead_code))] // consumed by the pin-flatness test
+    pub(crate) fn rmw_count() -> u64 {
+        RMWS.try_with(std::cell::Cell::get).unwrap_or(0)
+    }
+
+    /// Tallies one RMW on the calling thread (debug builds).
     #[inline]
-    fn note_rmw(order: Ordering) {
+    fn note_rmw() {
         #[cfg(debug_assertions)]
-        if order == Ordering::SeqCst {
-            // ordering: Relaxed — diagnostic counter.
-            SEQCST_RMWS.fetch_add(1, Ordering::Relaxed);
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = order;
+        let _ = RMWS.try_with(|n| n.set(n.get() + 1));
     }
 
     /// A `std` atomic wrapper whose RMW entry points feed the census.
     /// Plain loads and stores delegate directly — the census tracks
-    /// read-modify-writes, the operations whose `SeqCst` form buys a full
-    /// barrier per call.
+    /// read-modify-writes, which on x86-64 are `lock`-prefixed (a full
+    /// barrier per call) whatever their ordering.
     macro_rules! counting_atomic {
         ($name:ident, $prim:ty, $std:path) => {
             #[repr(transparent)]
@@ -88,7 +84,7 @@ pub(crate) mod atomic {
 
                 #[inline]
                 pub(crate) fn swap(&self, val: $prim, order: Ordering) -> $prim {
-                    note_rmw(order);
+                    note_rmw();
                     self.0.swap(val, order)
                 }
 
@@ -100,7 +96,7 @@ pub(crate) mod atomic {
                     success: Ordering,
                     failure: Ordering,
                 ) -> Result<$prim, $prim> {
-                    note_rmw(success);
+                    note_rmw();
                     self.0.compare_exchange(current, new, success, failure)
                 }
             }
@@ -114,13 +110,13 @@ pub(crate) mod atomic {
             impl $name {
                 #[inline]
                 pub(crate) fn fetch_add(&self, val: $prim, order: Ordering) -> $prim {
-                    note_rmw(order);
+                    note_rmw();
                     self.0.fetch_add(val, order)
                 }
 
                 #[inline]
                 pub(crate) fn fetch_sub(&self, val: $prim, order: Ordering) -> $prim {
-                    note_rmw(order);
+                    note_rmw();
                     self.0.fetch_sub(val, order)
                 }
             }
@@ -158,7 +154,7 @@ pub(crate) mod atomic {
 
         #[inline]
         pub(crate) fn swap(&self, val: *mut T, order: Ordering) -> *mut T {
-            note_rmw(order);
+            note_rmw();
             self.0.swap(val, order)
         }
 
@@ -170,7 +166,7 @@ pub(crate) mod atomic {
             success: Ordering,
             failure: Ordering,
         ) -> Result<*mut T, *mut T> {
-            note_rmw(success);
+            note_rmw();
             self.0.compare_exchange(current, new, success, failure)
         }
     }

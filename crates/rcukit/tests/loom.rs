@@ -254,6 +254,7 @@ fn weakened_unpin_scenario() {
     let c = Collector::with_shards(1);
     let data = Arc::new(loomette::cell::UnsafeCell::new(0u64));
     let unlinked = Arc::new(AtomicUsize::new(0));
+    let race = Arc::new(std::sync::Mutex::new(None::<String>));
     let reader = {
         let c = c.clone();
         let data = Arc::clone(&data);
@@ -276,14 +277,33 @@ fn weakened_unpin_scenario() {
         let g = h.pin();
         unlinked.store(1, SeqCst);
         let data = Arc::clone(&data);
+        let race = Arc::clone(&race);
         g.defer(move || {
-            data.with_mut(|p| unsafe { *p = u64::MAX });
+            // The collector contains a panicking callback (it only counts
+            // it), so keep the checker's verdict for the body to raise.
+            let write = std::panic::AssertUnwindSafe(|| {
+                data.with_mut(|p| unsafe { *p = u64::MAX });
+            });
+            if let Err(e) = std::panic::catch_unwind(write) {
+                let msg = match e.downcast::<String>() {
+                    Ok(msg) => *msg,
+                    Err(e) => match e.downcast::<&'static str>() {
+                        Ok(msg) => (*msg).to_owned(),
+                        Err(_) => "deferred callback panicked".to_owned(),
+                    },
+                };
+                *race.lock().unwrap() = Some(msg);
+            }
         });
     }
     for _ in 0..4 {
         c.collect();
     }
     reader.join().unwrap();
+    let race = race.lock().unwrap().take();
+    if let Some(msg) = race {
+        panic!("{msg}");
+    }
 }
 
 /// Meta-test for the `--cfg loomette_weaken` seeded bugs: with the unpin
