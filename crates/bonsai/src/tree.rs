@@ -1341,18 +1341,9 @@ where
 
     /// [`insert`](Self::insert) against a caller-provided scratch, for
     /// writer paths with their own serialization (`RangeMap`'s range
-    /// locks) — or none: the commit is a CAS-with-retry, so concurrent
-    /// calls are *safe* (no torn roots, no double retire), they merely
-    /// contend on the root. A failed CAS frees the never-published
-    /// speculative path ([`WriterScratch::discard`]) and rebuilds from the
-    /// winner's root.
-    ///
-    /// `sess` must have been opened against this tree's backend (checked)
-    /// and *before* this call — which is what makes the load→CAS window
-    /// ABA-free: under epoch/QSBR the snapshot root cannot be reclaimed
-    /// while the session's protection holds, so a re-observed equal
-    /// pointer really is the unchanged root; under HP the session holds
-    /// the writer gate, so the root cannot change at all.
+    /// locks) — or none: the commit is a CAS-with-retry
+    /// ([`Self::commit_loop`]), so concurrent calls are *safe* (no torn
+    /// roots, no double retire), they merely contend on the root.
     ///
     /// # Panics
     ///
@@ -1363,6 +1354,70 @@ where
         value: V,
         sess: &WriteSess<'_>,
         scratch: &mut WriterScratch<K, V>,
+    ) -> Option<V> {
+        self.commit_loop(sess, scratch, |root, scratch| {
+            // Safety: `commit_loop` hands over a published root that the
+            // write session keeps live and immutable.
+            let (new_root, old) = unsafe { Self::insert_rec(root, &key, &value, scratch) };
+            let delta = if old.is_none() { 1 } else { 0 };
+            Some((new_root, old, delta))
+        })
+    }
+
+    /// Removes `key`, returning its value if it was present. Takes the
+    /// writer lock.
+    pub fn remove(&self, key: &K) -> Option<V> {
+        with_write_session(
+            self,
+            || self.writer.lock().unwrap_or_else(|e| e.into_inner()),
+            |sess, w| self.remove_with(key, sess, &mut **w),
+        )
+    }
+
+    /// [`remove`](Self::remove) against a caller-provided scratch; same
+    /// CAS-with-retry contract as [`Self::insert_with`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sess` belongs to a different backend or domain.
+    pub(crate) fn remove_with(
+        &self,
+        key: &K,
+        sess: &WriteSess<'_>,
+        scratch: &mut WriterScratch<K, V>,
+    ) -> Option<V> {
+        self.commit_loop(sess, scratch, |root, scratch| {
+            // Safety: as in `insert_with`.
+            let (new_root, old) = unsafe { Self::remove_rec(root, key, scratch) };
+            // A miss rebuilds nothing and therefore replaces nothing.
+            old.is_some().then_some((new_root, old, -1))
+        })
+    }
+
+    /// The one commit protocol behind every update: rebuild the path
+    /// copy-on-write from a root snapshot, then publish it by CAS; a lost
+    /// CAS frees the never-published speculative path
+    /// ([`WriterScratch::discard`]) and rebuilds from the winner's root.
+    ///
+    /// `rebuild(root, scratch)` returns the new root, the displaced value
+    /// and the update's effect on [`len`](Self::len) (`+1`, `-1` or `0`),
+    /// or `None` when the update changes nothing at this snapshot — the
+    /// answer is then `None`, valid as of the root load, and no CAS runs.
+    ///
+    /// `sess` must have been opened against this tree's backend (checked)
+    /// and *before* this call — which is what makes the load→CAS window
+    /// ABA-free: under epoch/QSBR the snapshot root cannot be reclaimed
+    /// while the session's protection holds, so a re-observed equal
+    /// pointer really is the unchanged root; under HP and hybrid the
+    /// session holds the writer gate, so the root cannot change at all.
+    fn commit_loop(
+        &self,
+        sess: &WriteSess<'_>,
+        scratch: &mut WriterScratch<K, V>,
+        mut rebuild: impl FnMut(
+            *mut Node<K, V>,
+            &mut WriterScratch<K, V>,
+        ) -> Option<(*mut Node<K, V>, Option<V>, i8)>,
     ) -> Option<V> {
         self.check_sess(sess);
         debug_assert!(scratch.is_drained());
@@ -1379,9 +1434,12 @@ where
         let mut root = self.root.load(Ordering::Acquire);
         let mut failures = 0u32;
         loop {
-            // Safety: `root` was published and the write session keeps
-            // every node reachable from it live and immutable.
-            let (new_root, old) = unsafe { Self::insert_rec(root, &key, &value, scratch.0) };
+            // `root` was published and the write session keeps every node
+            // reachable from it live and immutable.
+            let Some((new_root, old, delta)) = rebuild(root, scratch.0) else {
+                debug_assert!(scratch.0.is_drained());
+                return None;
+            };
             // Failpoint: unwind before anything publishes — must leak
             // nothing (`DrainOnUnwind` discards the speculative path).
             rcukit::faults::maybe_panic(rcukit::faults::site::TREE_PRE_PUBLISH);
@@ -1417,7 +1475,7 @@ where
                         old_root: root,
                         new_root,
                         len: &self.len,
-                        delta: if old.is_none() { 1 } else { 0 },
+                        delta,
                     };
                     // Failpoint: unwind after publication but before
                     // accounting — the atomicity hole the guard closes.
@@ -1430,89 +1488,6 @@ where
                     drop(gate);
                     // Another writer published first. Nothing this attempt
                     // built was ever visible.
-                    failures += 1;
-                    let wasted = scratch.0.fresh.len();
-                    // Safety: the CAS failed, so `fresh` is unpublished.
-                    unsafe { scratch.0.discard() };
-                    self.note_cas_failure(failures, wasted);
-                    root = current;
-                }
-            }
-        }
-    }
-
-    /// Removes `key`, returning its value if it was present. Takes the
-    /// writer lock.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        with_write_session(
-            self,
-            || self.writer.lock().unwrap_or_else(|e| e.into_inner()),
-            |sess, w| self.remove_with(key, sess, &mut **w),
-        )
-    }
-
-    /// [`remove`](Self::remove) against a caller-provided scratch; same
-    /// CAS-with-retry contract as [`Self::insert_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sess` belongs to a different backend or domain.
-    pub(crate) fn remove_with(
-        &self,
-        key: &K,
-        sess: &WriteSess<'_>,
-        scratch: &mut WriterScratch<K, V>,
-    ) -> Option<V> {
-        self.check_sess(sess);
-        debug_assert!(scratch.is_drained());
-        scratch.birth_era = sess.birth_era();
-        // Unwind safety: as in `insert_with`.
-        let scratch = DrainOnUnwind(scratch);
-        // ordering: Acquire — publication pairing; see `insert_with`.
-        let mut root = self.root.load(Ordering::Acquire);
-        let mut failures = 0u32;
-        loop {
-            // Safety: as in `insert_with`.
-            let (new_root, old) = unsafe { Self::remove_rec(root, key, scratch.0) };
-            if old.is_none() {
-                // A miss rebuilds nothing and therefore replaces nothing;
-                // the answer is valid as of the root load, no CAS needed.
-                debug_assert!(scratch.0.is_drained());
-                return None;
-            }
-            // Failpoint: pre-publish unwind; see `insert_with`.
-            rcukit::faults::maybe_panic(rcukit::faults::site::TREE_PRE_PUBLISH);
-            // Commit-point gate (poison-recoverable); see `insert_with`.
-            let gate = self.commit_gate.lock().unwrap_or_else(|e| e.into_inner());
-            // Failpoint + ordering: AcqRel success / Acquire failure —
-            // forced-failure and commit publication pairing; see
-            // `insert_with`.
-            let cas = if rcukit::faults::should_fail(rcukit::faults::site::TREE_CAS) {
-                Err(root)
-            } else {
-                self.root
-                    .compare_exchange(root, new_root, Ordering::AcqRel, Ordering::Acquire)
-            };
-            match cas {
-                Ok(_) => {
-                    // Retire strictly after publication, as one batch, via
-                    // the post-CAS unwind guard; see `insert_with`.
-                    let done = CommitOnUnwind {
-                        scratch: &mut *scratch.0,
-                        sess,
-                        old_root: root,
-                        new_root,
-                        len: &self.len,
-                        delta: -1,
-                    };
-                    // Failpoint: post-CAS unwind; see `insert_with`.
-                    rcukit::faults::maybe_panic(rcukit::faults::site::TREE_POST_CAS);
-                    drop(done);
-                    drop(gate);
-                    return old;
-                }
-                Err(current) => {
-                    drop(gate);
                     failures += 1;
                     let wasted = scratch.0.fresh.len();
                     // Safety: the CAS failed, so `fresh` is unpublished.

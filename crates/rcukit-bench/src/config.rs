@@ -1,113 +1,24 @@
-//! CLI parsing for the two harness modes.
+//! CLI parsing for the evaluation sweep: deterministic trace replay
+//! against every backend across thread counts, emitting a
+//! `BENCH_addrspace.json` trajectory.
 //!
-//! * **Legacy mode** (default): the original fixed-duration N-readers/
-//!   1-writer loop — `rcukit-bench [readers=N] [duration_ms=N] [keys=N]
-//!   [workload=tree|range|both]`.
-//! * **Sweep mode** (`--sweep`): the paper's evaluation — deterministic
-//!   trace replay against both backends across thread counts, emitting a
-//!   `BENCH_addrspace.json` trajectory.
-//!
-//! Parsing is pure (`&[String] -> Result<Mode, String>`) so validation is
-//! unit-testable; `main` only turns errors into usage text and exit codes.
-
-use std::time::Duration;
+//! Parsing is pure (`&[String] -> Result<SweepConfig, String>`) so
+//! validation is unit-testable; `main` only turns errors into usage text
+//! and exit codes.
 
 use crate::sweep::{Backend, SweepConfig};
 use crate::workload::Profile;
 
 /// Usage text printed on any parse error.
 pub const USAGE: &str = "usage:
-  rcukit-bench [readers=N] [duration_ms=N] [keys=N] [workload=tree|range|both]
-  rcukit-bench --sweep [threads=1,2,4]
+  rcukit-bench [threads=1,2,4]
                [profile=metis|metis-phased|psearchy|read-heavy|uniform|writers|\
 stalled-reader|fork-storm|all]
-               [backend=bonsai|qsbr|hp|hybrid|locked|both|all] [ops=N] [slots=N]
+               [backend=bonsai|qsbr|hp|hybrid|locked|all] [ops=N] [slots=N]
                [pages=N] [seed=N] [forks=N] [live=N] [out=PATH|-]";
 
-/// Which structure(s) the legacy mode drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LegacyWorkload {
-    /// Point lookups on `BonsaiTree`.
-    Tree,
-    /// VMA-style `lookup` on `RangeMap`.
-    Range,
-    /// Both, in sequence.
-    Both,
-}
-
-impl LegacyWorkload {
-    /// Parses a CLI workload name.
-    pub fn parse(s: &str) -> Result<LegacyWorkload, String> {
-        match s {
-            "tree" => Ok(LegacyWorkload::Tree),
-            "range" => Ok(LegacyWorkload::Range),
-            "both" => Ok(LegacyWorkload::Both),
-            other => Err(format!(
-                "unknown workload {other:?} (expected tree|range|both)"
-            )),
-        }
-    }
-}
-
-/// Configuration for the legacy fixed-duration mode.
-#[derive(Clone, Debug)]
-pub struct LegacyConfig {
-    /// Reader thread count.
-    pub readers: usize,
-    /// How long each workload runs.
-    pub duration: Duration,
-    /// Key-space size (the range workload maps `keys/4` region slots).
-    pub keys: u64,
-    /// Which structure(s) to drive.
-    pub workload: LegacyWorkload,
-}
-
-/// A fully parsed and validated invocation.
-#[derive(Clone, Debug)]
-pub enum Mode {
-    /// Fixed-duration readers-vs-writer loop.
-    Legacy(LegacyConfig),
-    /// Deterministic trace-replay sweep.
-    Sweep(SweepConfig),
-}
-
 /// Parses an argument list (without the program name).
-pub fn parse(args: &[String]) -> Result<Mode, String> {
-    if args.first().map(String::as_str) == Some("--sweep") {
-        parse_sweep(&args[1..]).map(Mode::Sweep)
-    } else {
-        parse_legacy(args).map(Mode::Legacy)
-    }
-}
-
-fn parse_legacy(args: &[String]) -> Result<LegacyConfig, String> {
-    let mut cfg = LegacyConfig {
-        readers: 4,
-        duration: Duration::from_millis(300),
-        keys: 4096,
-        workload: LegacyWorkload::Both,
-    };
-    for arg in args {
-        match arg.split_once('=') {
-            Some(("readers", v)) => cfg.readers = num(v, "readers")?,
-            Some(("duration_ms", v)) => {
-                cfg.duration = Duration::from_millis(num(v, "duration_ms")?)
-            }
-            Some(("keys", v)) => cfg.keys = num(v, "keys")?,
-            Some(("workload", v)) => cfg.workload = LegacyWorkload::parse(v)?,
-            _ => return Err(format!("unknown argument: {arg}")),
-        }
-    }
-    if cfg.duration.is_zero() {
-        return Err("duration_ms must be >= 1".into());
-    }
-    if cfg.keys < 4 {
-        return Err("keys must be >= 4 (the range workload maps keys/4 region slots)".into());
-    }
-    Ok(cfg)
-}
-
-fn parse_sweep(args: &[String]) -> Result<SweepConfig, String> {
+pub fn parse(args: &[String]) -> Result<SweepConfig, String> {
     let mut cfg = SweepConfig {
         threads: vec![1, 2, 4],
         profiles: Profile::ALL.to_vec(),
@@ -139,8 +50,6 @@ fn parse_sweep(args: &[String]) -> Result<SweepConfig, String> {
             Some(("backend", v)) => {
                 cfg.backends = match v {
                     "all" => Backend::ALL.to_vec(),
-                    // The historical two-way comparison.
-                    "both" => Backend::BOTH.to_vec(),
                     one => vec![Backend::parse(one)?],
                 };
             }
@@ -166,83 +75,64 @@ fn num<T: std::str::FromStr>(v: &str, key: &str) -> Result<T, String> {
 mod tests {
     use super::*;
 
-    fn parse_strs(args: &[&str]) -> Result<Mode, String> {
+    fn parse_strs(args: &[&str]) -> Result<SweepConfig, String> {
         parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
     fn defaults_are_valid() {
-        assert!(matches!(parse_strs(&[]), Ok(Mode::Legacy(_))));
-        match parse_strs(&["--sweep"]) {
-            Ok(Mode::Sweep(cfg)) => {
-                assert_eq!(cfg.threads, vec![1, 2, 4]);
-                assert_eq!(cfg.profiles.len(), 8);
-                assert_eq!(cfg.backends.len(), 5);
-                assert_eq!(cfg.forks_per_thread, 256);
-                assert_eq!(cfg.live_per_thread, 64);
-                assert_eq!(cfg.out.as_deref(), Some("BENCH_addrspace.json"));
-            }
-            other => panic!("expected sweep mode, got {other:?}"),
-        }
+        let cfg = parse_strs(&[]).expect("defaults must parse");
+        assert_eq!(cfg.threads, vec![1, 2, 4]);
+        assert_eq!(cfg.profiles.len(), 8);
+        assert_eq!(cfg.backends.len(), 5);
+        assert_eq!(cfg.forks_per_thread, 256);
+        assert_eq!(cfg.live_per_thread, 64);
+        assert_eq!(cfg.out.as_deref(), Some("BENCH_addrspace.json"));
     }
 
     #[test]
     fn sweep_parses_fork_storm_knobs() {
-        match parse_strs(&["--sweep", "profile=fork-storm", "forks=128", "live=32"]) {
-            Ok(Mode::Sweep(cfg)) => {
-                assert_eq!(cfg.profiles, vec![Profile::ForkStorm]);
-                assert_eq!(cfg.forks_per_thread, 128);
-                assert_eq!(cfg.live_per_thread, 32);
-            }
-            other => panic!("expected sweep mode, got {other:?}"),
-        }
-        assert!(parse_strs(&["--sweep", "forks=0"]).is_err());
-        assert!(parse_strs(&["--sweep", "live=0"]).is_err());
+        let cfg = parse_strs(&["profile=fork-storm", "forks=128", "live=32"]).unwrap();
+        assert_eq!(cfg.profiles, vec![Profile::ForkStorm]);
+        assert_eq!(cfg.forks_per_thread, 128);
+        assert_eq!(cfg.live_per_thread, 32);
+        assert!(parse_strs(&["forks=0"]).is_err());
+        assert!(parse_strs(&["live=0"]).is_err());
     }
 
     #[test]
     fn sweep_rejects_zero_threads() {
-        assert!(parse_strs(&["--sweep", "threads=0"]).is_err());
-        assert!(parse_strs(&["--sweep", "threads=2,0"]).is_err());
+        assert!(parse_strs(&["threads=0"]).is_err());
+        assert!(parse_strs(&["threads=2,0"]).is_err());
     }
 
     #[test]
     fn sweep_rejects_empty_sweep() {
-        assert!(parse_strs(&["--sweep", "threads="]).is_err());
-        assert!(parse_strs(&["--sweep", "threads=,"]).is_err());
+        assert!(parse_strs(&["threads="]).is_err());
+        assert!(parse_strs(&["threads=,"]).is_err());
     }
 
     #[test]
     fn sweep_rejects_degenerate_workloads() {
-        assert!(parse_strs(&["--sweep", "ops=0"]).is_err());
-        assert!(parse_strs(&["--sweep", "slots=1"]).is_err());
-        assert!(parse_strs(&["--sweep", "pages=0"]).is_err());
+        assert!(parse_strs(&["ops=0"]).is_err());
+        assert!(parse_strs(&["slots=1"]).is_err());
+        assert!(parse_strs(&["pages=0"]).is_err());
     }
 
     #[test]
     fn sweep_parses_selections() {
-        match parse_strs(&[
-            "--sweep",
-            "threads=2,8",
-            "profile=psearchy",
-            "backend=locked",
-            "out=-",
-        ]) {
-            Ok(Mode::Sweep(cfg)) => {
-                assert_eq!(cfg.threads, vec![2, 8]);
-                assert_eq!(cfg.profiles, vec![Profile::Psearchy]);
-                assert_eq!(cfg.backends, vec![Backend::Locked]);
-                assert_eq!(cfg.out, None);
-            }
-            other => panic!("expected sweep mode, got {other:?}"),
-        }
+        let cfg =
+            parse_strs(&["threads=2,8", "profile=psearchy", "backend=locked", "out=-"]).unwrap();
+        assert_eq!(cfg.threads, vec![2, 8]);
+        assert_eq!(cfg.profiles, vec![Profile::Psearchy]);
+        assert_eq!(cfg.backends, vec![Backend::Locked]);
+        assert_eq!(cfg.out, None);
     }
 
     #[test]
-    fn legacy_rejects_what_it_always_rejected() {
-        assert!(parse_strs(&["duration_ms=0"]).is_err());
-        assert!(parse_strs(&["keys=3"]).is_err());
-        assert!(parse_strs(&["workload=none"]).is_err());
+    fn rejects_unknown_arguments() {
         assert!(parse_strs(&["bogus"]).is_err());
+        assert!(parse_strs(&["profile=none"]).is_err());
+        assert!(parse_strs(&["backend=none"]).is_err());
     }
 }

@@ -1,13 +1,11 @@
 //! Benchmark harness for the ASPLOS'12 Bonsai-tree reproduction.
 //!
-//! Two modes, one binary (`rcukit-bench`):
-//!
-//! * [`legacy`] — the original fixed-duration N-readers/1-writer loop over
-//!   [`bonsai::BonsaiTree`] and [`bonsai::RangeMap`].
-//! * [`sweep`] — the paper's evaluation: a deterministic address-space
-//!   workload ([`workload`]) replayed against both the RCU `RangeMap` and
-//!   the lock-serialized [`baseline`] across a range of thread counts,
-//!   emitting a `BENCH_addrspace.json` trajectory.
+//! The binary (`rcukit-bench`) runs the paper's evaluation [`sweep`]: a
+//! deterministic address-space workload ([`workload`]) replayed against
+//! the RCU `RangeMap` on every reclamation backend and the lock-serialized
+//! [`baseline`] across a range of thread counts, emitting a
+//! `BENCH_addrspace.json` trajectory and checking it with
+//! [`sweep::check`].
 //!
 //! The harness is a library so the sweep can be smoke-tested in-process;
 //! see `BENCHMARKS.md` at the repo root for the CLI and output schema.
@@ -18,6 +16,5 @@
 
 pub mod baseline;
 pub mod config;
-pub mod legacy;
 pub mod sweep;
 pub mod workload;

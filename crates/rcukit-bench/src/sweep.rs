@@ -30,7 +30,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -73,9 +73,6 @@ impl Backend {
         Backend::Locked,
     ];
 
-    /// The historical two-backend comparison (`backend=both`).
-    pub const BOTH: [Backend; 2] = [Backend::Bonsai, Backend::Locked];
-
     /// The backend's name as used by the CLI and the JSON output.
     pub fn name(self) -> &'static str {
         match self {
@@ -101,16 +98,13 @@ impl Backend {
 
     /// Parses a CLI backend name.
     pub fn parse(s: &str) -> Result<Backend, String> {
-        match s {
-            "bonsai" => Ok(Backend::Bonsai),
-            "qsbr" => Ok(Backend::Qsbr),
-            "hp" => Ok(Backend::Hp),
-            "hybrid" => Ok(Backend::Hybrid),
-            "locked" => Ok(Backend::Locked),
-            other => Err(format!(
-                "unknown backend {other:?} (expected bonsai|qsbr|hp|hybrid|locked|both|all)"
-            )),
-        }
+        Backend::ALL
+            .into_iter()
+            .find(|b| b.name() == s)
+            .ok_or_else(|| {
+                let names: Vec<_> = Backend::ALL.map(Backend::name).into();
+                format!("unknown backend {s:?} (expected {}|all)", names.join("|"))
+            })
     }
 }
 
@@ -230,11 +224,9 @@ pub struct PointResult {
     /// Deferred retirements tagged by the reclamation backend (RCU
     /// backends only).
     pub retired: u64,
-    /// Deferred retirements executed after the final grace period / scan.
+    /// Deferred retirements executed after the final grace period / scan;
+    /// `retired == freed` is the no-leak check (`reclaim_ok` in the JSON).
     pub freed: u64,
-    /// `retired == freed` after a final `synchronize` — the no-leak check.
-    /// Trivially true for the locked backend (nothing is deferred).
-    pub reclaim_ok: bool,
     /// High-water mark of retired-but-not-yet-reclaimed bytes over the
     /// whole replay (RCU backends; 0 for locked). The bounded-garbage
     /// gauge the `stalled-reader` profile compares: grace-period backends
@@ -256,12 +248,13 @@ pub struct PointResult {
     pub cas_retries: u64,
     /// Speculative copy-on-write nodes those failed commits discarded.
     pub cas_wasted_nodes: u64,
-    /// Single-thread read-side latency in nanoseconds per op, measured
-    /// after the replay against its final state: one thread replaying
-    /// `fault` calls — for the bonsai backend that is the full
-    /// pin + lookup + unpin path whose per-op cost the ordering audit
-    /// targets; for the locked backend, lock + lookup. Same address
-    /// stream for every backend at a given `(profile, threads)` point.
+    /// Single-thread read-side latency in nanoseconds per op: the median
+    /// of five timed passes of `fault` calls on one thread, against the
+    /// replay's final state after the final `synchronize` — for the
+    /// bonsai backend that is the full pin + lookup + unpin path whose
+    /// per-op cost the ordering audit targets; for the locked backend,
+    /// lock + lookup. Same address stream for every backend at a given
+    /// `(profile, threads)` point.
     pub read_op_ns: f64,
     /// Fork-lifecycle metrics (`fork-storm` profile; all zeros elsewhere).
     pub fork: ForkMetrics,
@@ -333,7 +326,7 @@ impl PointResult {
             (t.maps + t.unmaps + t.unmap_ranges) as f64 / secs,
             self.retired,
             self.freed,
-            self.reclaim_ok,
+            self.retired == self.freed,
             self.peak_unreclaimed_bytes,
             self.stall_events,
             self.degraded_ops,
@@ -350,28 +343,50 @@ impl PointResult {
     }
 }
 
-/// Faults sampled by the post-replay read-side microbench.
-const READ_SAMPLE: usize = 100_000;
+/// Faults timed per read-microbench sample.
+const READ_SAMPLE: usize = 20_000;
+/// Samples the read microbench takes; it reports their median.
+const READ_SAMPLES: usize = 5;
 
-/// Single-thread read-side microbench: replays [`READ_SAMPLE`] `fault`
-/// calls against the post-replay address space and returns the mean
-/// nanoseconds per op. Addresses are pre-drawn (seeded from the spec, so
-/// every backend at a point sees the identical stream) and the hit count
-/// is kept live through `black_box`, so the timed loop is exactly the
-/// backend's fault path — for bonsai, pin + lookup + unpin per call.
-fn read_microbench<A: AddressSpace>(space: &A, spec: &WorkloadSpec) -> f64 {
+/// Single-thread read-side microbench: [`READ_SAMPLES`] timed passes of
+/// [`READ_SAMPLE`] `fault` calls each against the post-replay address
+/// space, returning the median pass's nanoseconds per op. Call it after
+/// the point's final `synchronize`, so it times lookups and not the drain
+/// of a garbage backlog.
+///
+/// Addresses are pre-drawn (seeded from the spec, so every backend at a
+/// point sees the identical stream) and the hit count is kept live
+/// through `black_box`, so the timed loop is exactly the backend's fault
+/// path, called through the trait object as the replay calls it — for
+/// bonsai, pin + lookup + unpin per call. The passes run on a
+/// thread of their own, whose exit drops whatever per-thread reader
+/// state (a cached QSBR handle, an epoch registration) the lookups set
+/// up.
+fn read_microbench(space: &dyn AddressSpace, spec: &WorkloadSpec) -> f64 {
     let mut rng = Rng::new(spec.seed ^ 0xB1C9_0DD5_EE75_11A7);
     let addrs: Vec<u64> = (0..READ_SAMPLE).map(|_| rng.below(spec.span())).collect();
-    let started = Instant::now();
-    let mut hits = 0u64;
-    for &addr in &addrs {
-        if space.fault(addr) {
-            hits += 1;
-        }
-    }
-    let elapsed = started.elapsed();
-    std::hint::black_box(hits);
-    elapsed.as_nanos() as f64 / READ_SAMPLE as f64
+    let mut samples: Vec<f64> = thread::scope(|s| {
+        s.spawn(|| {
+            (0..READ_SAMPLES)
+                .map(|_| {
+                    let started = Instant::now();
+                    let mut hits = 0u64;
+                    for &addr in &addrs {
+                        if space.fault(addr) {
+                            hits += 1;
+                        }
+                    }
+                    let elapsed = started.elapsed();
+                    std::hint::black_box(hits);
+                    elapsed.as_nanos() as f64 / READ_SAMPLE as f64
+                })
+                .collect()
+        })
+        .join()
+        .expect("read microbench panicked")
+    });
+    samples.sort_by(f64::total_cmp);
+    samples[READ_SAMPLES / 2]
 }
 
 /// Replays one op slice against one address space, updating `tally` —
@@ -408,51 +423,77 @@ fn replay_ops(space: &dyn AddressSpace, ops: &[Op], tally: &mut Tally) {
     }
 }
 
-/// Replays pre-generated traces against `space`, one thread per trace,
-/// started together behind a barrier. Returns wall time and summed tallies.
+/// Runs `work(t)` for every `t in 0..threads` on its own thread, all
+/// released together by a barrier, and returns the replay's wall time
+/// with each worker's output in thread order.
 ///
-/// Each worker timestamps its own start and finish; the replay's wall time
-/// is `max(finish) - min(start)`. Timing on the main thread instead would
+/// Each worker timestamps its own start and finish; the wall time is
+/// `max(finish) - min(start)`. Timing on the calling thread instead would
 /// under-measure on oversubscribed boxes: workers can replay for
-/// milliseconds before a barrier-released main thread is rescheduled.
-fn replay<A: AddressSpace + 'static>(
-    space: Arc<A>,
+/// milliseconds before a barrier-released caller is rescheduled.
+fn run_workers<T: Send>(threads: usize, work: impl Fn(usize) -> T + Sync) -> (Duration, Vec<T>) {
+    let barrier = Barrier::new(threads);
+    let timed: Vec<(Instant, Instant, T)> = thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let (barrier, work) = (&barrier, &work);
+                s.spawn(move || {
+                    barrier.wait();
+                    let started = Instant::now();
+                    let out = work(t);
+                    (started, Instant::now(), out)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("replay thread panicked"))
+            .collect()
+    });
+    let start = timed.iter().map(|w| w.0).min();
+    let finish = timed.iter().map(|w| w.1).max();
+    let elapsed = start.zip(finish).map_or(Duration::ZERO, |(s, f)| f - s);
+    (elapsed, timed.into_iter().map(|w| w.2).collect())
+}
+
+/// Replays one point's pre-generated traces against `space`, one thread
+/// per trace — straight through, or through the fork-storm lifecycle on
+/// profiles that fork — and returns wall time, summed tallies and fork
+/// metrics.
+///
+/// The initial regions are mapped first, on a set-up thread that exits
+/// before the replay starts. Mapping them on the calling thread instead
+/// would leave its cached QSBR handle registered, online and silent for
+/// the rest of the point: a stalled reader no profile asked for, which
+/// stops every QSBR grace period until the final `synchronize`.
+fn replay_point(
+    cfg: &SweepConfig,
     spec: &WorkloadSpec,
-    traces: Arc<Vec<Vec<Op>>>,
-) -> (Duration, Tally) {
-    for t in 0..spec.threads {
-        for (start, end) in spec.initial_regions(t) {
-            assert!(space.map(start, end), "initial region overlap");
-        }
+    space: &dyn AddressSpace,
+    traces: &[Vec<Op>],
+) -> (Duration, Tally, ForkMetrics) {
+    thread::scope(|s| {
+        s.spawn(|| {
+            for t in 0..spec.threads {
+                for (start, end) in spec.initial_regions(t) {
+                    assert!(space.map(start, end), "initial region overlap");
+                }
+            }
+        });
+    });
+    if spec.profile.forks_processes() {
+        return replay_fork_storm(space, traces, cfg.forks_per_thread, cfg.live_per_thread);
     }
-    let barrier = Arc::new(Barrier::new(spec.threads));
-    let mut workers = Vec::with_capacity(spec.threads);
-    for t in 0..spec.threads {
-        let space = space.clone();
-        let traces = traces.clone();
-        let barrier = barrier.clone();
-        workers.push(thread::spawn(move || {
-            let mut tally = Tally::default();
-            barrier.wait();
-            let started = Instant::now();
-            replay_ops(&*space, &traces[t], &mut tally);
-            (started, Instant::now(), tally)
-        }));
-    }
+    let (elapsed, tallies) = run_workers(spec.threads, |t| {
+        let mut tally = Tally::default();
+        replay_ops(space, &traces[t], &mut tally);
+        tally
+    });
     let mut tally = Tally::default();
-    let mut first_start: Option<Instant> = None;
-    let mut last_finish: Option<Instant> = None;
-    for worker in workers {
-        let (started, finished, t) = worker.join().expect("replay thread panicked");
-        tally.add(&t);
-        first_start = Some(first_start.map_or(started, |s| s.min(started)));
-        last_finish = Some(last_finish.map_or(finished, |f| f.max(finished)));
+    for t in &tallies {
+        tally.add(t);
     }
-    let elapsed = match (first_start, last_finish) {
-        (Some(s), Some(f)) => f.duration_since(s),
-        _ => Duration::ZERO,
-    };
-    (elapsed, tally)
+    (elapsed, tally, ForkMetrics::default())
 }
 
 /// The `fork-storm` lifecycle replay: each thread runs `forks_per_thread`
@@ -475,79 +516,53 @@ fn replay<A: AddressSpace + 'static>(
 /// The parent space is never mutated after its initial regions, so every
 /// thread's chain (which also inherits the other threads' initial arenas)
 /// sees deterministic state regardless of interleaving.
-fn replay_fork_storm<A: AddressSpace + 'static>(
-    space: Arc<A>,
-    spec: &WorkloadSpec,
-    traces: Arc<Vec<Vec<Op>>>,
+fn replay_fork_storm(
+    space: &dyn AddressSpace,
+    traces: &[Vec<Op>],
     forks_per_thread: usize,
     live_per_thread: usize,
 ) -> (Duration, Tally, ForkMetrics) {
-    for t in 0..spec.threads {
-        for (start, end) in spec.initial_regions(t) {
-            assert!(space.map(start, end), "initial region overlap");
-        }
-    }
-    let barrier = Arc::new(Barrier::new(spec.threads));
     // Cross-thread live-space gauge: +1 per fork, -1 per exit, peak kept
     // via fetch_max. Relaxed everywhere — telemetry, no data published.
-    let live_now = Arc::new(AtomicU64::new(0));
-    let live_peak = Arc::new(AtomicU64::new(0));
-    let mut workers = Vec::with_capacity(spec.threads);
-    for t in 0..spec.threads {
-        let space = space.clone();
-        let traces = traces.clone();
-        let barrier = barrier.clone();
-        let live_now = live_now.clone();
-        let live_peak = live_peak.clone();
-        workers.push(thread::spawn(move || {
-            let trace = &traces[t];
-            let mut tally = Tally::default();
-            let mut fork_ns = Vec::with_capacity(forks_per_thread);
-            let mut ring: VecDeque<Box<dyn AddressSpace>> =
-                VecDeque::with_capacity(live_per_thread + 1);
-            barrier.wait();
-            let started = Instant::now();
-            for f in 0..forks_per_thread {
-                let fork_start = Instant::now();
-                let child = match ring.back() {
-                    Some(tip) => tip.fork(),
-                    None => space.fork(),
-                };
-                fork_ns.push(fork_start.elapsed().as_nanos() as u64);
-                let n = live_now.fetch_add(1, Relaxed) + 1;
-                live_peak.fetch_max(n, Relaxed);
-                let lo = f * trace.len() / forks_per_thread;
-                let hi = (f + 1) * trace.len() / forks_per_thread;
-                replay_ops(&*child, &trace[lo..hi], &mut tally);
-                ring.push_back(child);
-                if ring.len() > live_per_thread {
-                    drop(ring.pop_front());
-                    live_now.fetch_sub(1, Relaxed);
-                }
+    let live_now = AtomicU64::new(0);
+    let live_peak = AtomicU64::new(0);
+    let (elapsed, outs) = run_workers(traces.len(), |t| {
+        let trace = &traces[t];
+        let mut tally = Tally::default();
+        let mut fork_ns = Vec::with_capacity(forks_per_thread);
+        let mut ring: VecDeque<Box<dyn AddressSpace>> =
+            VecDeque::with_capacity(live_per_thread + 1);
+        for f in 0..forks_per_thread {
+            let fork_start = Instant::now();
+            let child = match ring.back() {
+                Some(tip) => tip.fork(),
+                None => space.fork(),
+            };
+            fork_ns.push(fork_start.elapsed().as_nanos() as u64);
+            let n = live_now.fetch_add(1, Relaxed) + 1;
+            live_peak.fetch_max(n, Relaxed);
+            let lo = f * trace.len() / forks_per_thread;
+            let hi = (f + 1) * trace.len() / forks_per_thread;
+            replay_ops(&*child, &trace[lo..hi], &mut tally);
+            ring.push_back(child);
+            if ring.len() > live_per_thread {
+                drop(ring.pop_front());
+                live_now.fetch_sub(1, Relaxed);
             }
-            // Exit every still-live child before the clock stops: the
-            // storm's teardown (and its retirement burst) is part of the
-            // measured lifecycle, not an afterthought.
-            live_now.fetch_sub(ring.len() as u64, Relaxed);
-            ring.clear();
-            (started, Instant::now(), tally, fork_ns)
-        }));
-    }
+        }
+        // Exit every still-live child before the clock stops: the
+        // storm's teardown (and its retirement burst) is part of the
+        // measured lifecycle, not an afterthought.
+        live_now.fetch_sub(ring.len() as u64, Relaxed);
+        ring.clear();
+        (tally, fork_ns)
+    });
     let mut tally = Tally::default();
-    let mut all_fork_ns = Vec::with_capacity(spec.threads * forks_per_thread);
-    let mut first_start: Option<Instant> = None;
-    let mut last_finish: Option<Instant> = None;
-    for worker in workers {
-        let (started, finished, t, fork_ns) = worker.join().expect("fork-storm thread panicked");
-        tally.add(&t);
-        all_fork_ns.extend(fork_ns);
-        first_start = Some(first_start.map_or(started, |s| s.min(started)));
-        last_finish = Some(last_finish.map_or(finished, |f| f.max(finished)));
+    let mut all_fork_ns = Vec::with_capacity(traces.len() * forks_per_thread);
+    for (t, fork_ns) in &outs {
+        tally.add(t);
+        all_fork_ns.extend_from_slice(fork_ns);
     }
-    let elapsed = match (first_start, last_finish) {
-        (Some(s), Some(f)) => f.duration_since(s),
-        _ => Duration::ZERO,
-    };
     all_fork_ns.sort_unstable();
     let pct = |p: usize| all_fork_ns[(all_fork_ns.len() - 1) * p / 100];
     let fork = ForkMetrics {
@@ -606,68 +621,33 @@ fn with_stalled_reader<R>(backend: &ReclaimBackend, f: impl FnOnce() -> R) -> R 
     }
 }
 
-/// Runs one `(profile, threads, backend)` point.
+/// Runs one `(profile, threads, backend)` point, draining before the read microbench.
 fn run_point(
     cfg: &SweepConfig,
     profile: Profile,
     threads: usize,
     backend: Backend,
-    traces: &Arc<Vec<Vec<Op>>>,
+    traces: &[Vec<Op>],
 ) -> PointResult {
     let spec = cfg.spec(profile, threads);
-    let (elapsed, tally, fork, stats, cas_retries, cas_wasted_nodes, read_op_ns) =
-        match backend.reclaim_kind() {
-            Some(kind) => {
-                let reclaim = ReclaimBackend::new(kind);
-                let space: Arc<RangeMap<()>> = Arc::new(RangeMap::with_backend(reclaim.clone()));
-                let (elapsed, tally, fork) = if profile.forks_processes() {
-                    replay_fork_storm(
-                        Arc::clone(&space),
-                        &spec,
-                        Arc::clone(traces),
-                        cfg.forks_per_thread,
-                        cfg.live_per_thread,
-                    )
-                } else if profile.stalls_a_reader() {
-                    let (elapsed, tally) = with_stalled_reader(&reclaim, || {
-                        replay(Arc::clone(&space), &spec, Arc::clone(traces))
-                    });
-                    (elapsed, tally, ForkMetrics::default())
-                } else {
-                    let (elapsed, tally) = replay(Arc::clone(&space), &spec, Arc::clone(traces));
-                    (elapsed, tally, ForkMetrics::default())
-                };
-                let read_op_ns = read_microbench(&*space, &spec);
-                reclaim.synchronize();
-                let stats = reclaim.stats();
-                (
-                    elapsed,
-                    tally,
-                    fork,
-                    stats,
-                    space.cas_retries(),
-                    space.cas_wasted_nodes(),
-                    read_op_ns,
-                )
-            }
-            None => {
-                let space = Arc::new(LockedAddressSpace::new());
-                let (elapsed, tally, fork) = if profile.forks_processes() {
-                    replay_fork_storm(
-                        Arc::clone(&space),
-                        &spec,
-                        Arc::clone(traces),
-                        cfg.forks_per_thread,
-                        cfg.live_per_thread,
-                    )
-                } else {
-                    let (elapsed, tally) = replay(Arc::clone(&space), &spec, Arc::clone(traces));
-                    (elapsed, tally, ForkMetrics::default())
-                };
-                let read_op_ns = read_microbench(&*space, &spec);
-                (elapsed, tally, fork, Default::default(), 0, 0, read_op_ns)
-            }
-        };
+    let reclaim = backend.reclaim_kind().map(ReclaimBackend::new);
+    let rcu = reclaim
+        .as_ref()
+        .map(|r| RangeMap::<()>::with_backend(r.clone()));
+    let locked = LockedAddressSpace::new();
+    let space: &dyn AddressSpace = match &rcu {
+        Some(map) => map,
+        None => &locked,
+    };
+    let replay = || replay_point(cfg, &spec, space, traces);
+    let (elapsed, tally, fork) = match &reclaim {
+        Some(r) if profile.stalls_a_reader() => with_stalled_reader(r, replay),
+        _ => replay(),
+    };
+    let stats = reclaim.map_or_else(Default::default, |r| {
+        r.synchronize();
+        r.stats()
+    });
     PointResult {
         profile,
         backend,
@@ -676,13 +656,12 @@ fn run_point(
         tally,
         retired: stats.objects_retired,
         freed: stats.objects_freed,
-        reclaim_ok: stats.objects_retired == stats.objects_freed,
         peak_unreclaimed_bytes: stats.peak_unreclaimed_bytes,
         stall_events: stats.stall_events,
         degraded_ops: stats.degraded_ops,
-        cas_retries,
-        cas_wasted_nodes,
-        read_op_ns,
+        cas_retries: rcu.as_ref().map_or(0, |map| map.cas_retries()),
+        cas_wasted_nodes: rcu.as_ref().map_or(0, |map| map.cas_wasted_nodes()),
+        read_op_ns: read_microbench(space, &spec),
         fork,
     }
 }
@@ -698,7 +677,7 @@ pub fn run(cfg: &SweepConfig) -> Vec<PointResult> {
             // One trace set per point, shared verbatim by every backend —
             // the comparison is apples-to-apples by construction.
             let spec = cfg.spec(profile, threads);
-            let traces = Arc::new((0..threads).map(|t| spec.thread_trace(t)).collect());
+            let traces: Vec<Vec<Op>> = (0..threads).map(|t| spec.thread_trace(t)).collect();
             for &backend in &cfg.backends {
                 let point = run_point(cfg, profile, threads, backend, &traces);
                 println!("{}", point.to_json());
@@ -713,25 +692,7 @@ pub fn run(cfg: &SweepConfig) -> Vec<PointResult> {
 pub fn render_trajectory(cfg: &SweepConfig, results: &[PointResult]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    // v7 (over v6): the `hybrid` interval-based reclamation backend
-    // (stall-tolerant graceful degradation) and the per-record
-    // `stall_events` / `degraded_ops` columns surfacing when a stalled
-    // reader tripped the degradation protocol — zeros on the other
-    // backends. v6 added the multi-tenant `fork-storm` profile (per-thread
-    // fork/exec/exit lifecycles over structurally shared address spaces)
-    // and its per-record `forks`, `live_spaces_peak`, and
-    // `fork_p50/p90/p99/max_ns` latency columns — zeros on profiles that
-    // never fork. v5 added the `qsbr` and `hp` backends (same traces,
-    // different reclamation), the adversarial `stalled-reader` profile,
-    // and the `peak_unreclaimed_bytes` per-record gauge. v4 added
-    // the `read-heavy` profile (~99% faults) and the `read_op_ns`
-    // per-record single-thread read-side microbench — the per-op
-    // pin+lookup latency point the ordering audit's payoff shows up
-    // in. v3 added the `metis-phased` profile (mid-trace mix shift) and
-    // the `cas_retries`/`cas_wasted_nodes` telemetry from the striped
-    // range-lock + arena writer path. v2 added the `writers` profile,
-    // multi-region `unmap_range` ops (`unmap_ranges`/`unmap_range_misses`),
-    // and range-locked parallel writers on the bonsai backend.
+    // The schema history (what each version added) is in BENCHMARKS.md.
     out.push_str("  \"schema\": \"rcukit-bench/addrspace-v7\",\n");
     out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
     out.push_str(&format!("  \"ops_per_thread\": {},\n", cfg.ops_per_thread));
@@ -756,4 +717,342 @@ pub fn render_trajectory(cfg: &SweepConfig, results: &[PointResult]) -> String {
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+/// Ceiling on an `hp` record's peak unreclaimed bytes. The scan threshold
+/// plus the per-slot protections bound hazard-pointer garbage whatever a
+/// stalled reader does, and a `stalled-reader` replay retires megabytes:
+/// 256 KiB of hp garbage means the bound is broken, not noisy.
+const HP_PEAK_BOUND: u64 = 256 << 10;
+
+/// Ceiling on a `hybrid` record's peak unreclaimed bytes: the hybrid
+/// domain's default garbage budget. A stalled reader may block at most
+/// its pre-pin working set plus scan slack, never the stall window's
+/// churn.
+const HYBRID_PEAK_BOUND: u64 = 1 << 20;
+
+/// Ceiling on any backend's peak unreclaimed bytes outside the
+/// `stalled-reader` profile. With no reader parked, grace periods keep
+/// completing on every backend, so a peak this high means reclamation
+/// stopped for the run (some reader left online and silent).
+const UNSTALLED_PEAK_BOUND: u64 = 10_000_000;
+
+/// `profile/tN/backend`, the name a violation gives its record.
+fn label(p: &PointResult) -> String {
+    format!("{}/t{}/{}", p.profile.name(), p.threads, p.backend.name())
+}
+
+/// Checks a sweep's records against the contract every trajectory must
+/// meet (listed in `BENCHMARKS.md`, "Record check") and returns every
+/// violation, each naming its `profile/tN/backend` record.
+pub fn check(cfg: &SweepConfig, results: &[PointResult]) -> Result<(), Vec<String>> {
+    let mut errs = Vec::new();
+    // Pushes "<at>: <message>" onto `errs` unless `ok` holds.
+    macro_rules! want {
+        ($at:expr, $ok:expr, $($msg:tt)+) => {
+            if !$ok {
+                errs.push(format!("{}: {}", $at, format_args!($($msg)+)));
+            }
+        };
+    }
+    for p in results {
+        let at = &label(p);
+        let (t, f, peak) = (&p.tally, &p.fork, p.peak_unreclaimed_bytes);
+        let configured = cfg.profiles.contains(&p.profile)
+            && cfg.threads.contains(&p.threads)
+            && cfg.backends.contains(&p.backend);
+        want!(at, configured, "not a point of the configured sweep");
+        let (ops, want_ops) = (p.total_ops(), (p.threads * cfg.ops_per_thread) as u64);
+        want!(at, ops == want_ops, "replayed {ops} ops, want {want_ops}");
+        for (field, n) in [
+            ("map_rejects", t.map_rejects),
+            ("unmap_misses", t.unmap_misses),
+            ("unmap_range_misses", t.unmap_range_misses),
+        ] {
+            want!(at, n == 0, "{field} = {n} (must be 0)");
+        }
+        let (retired, freed) = (p.retired, p.freed);
+        want!(at, retired == freed, "retired {retired} != freed {freed}");
+        if p.backend.reclaim_kind().is_some() {
+            want!(at, retired > 0, "writer churn retired nothing");
+            want!(at, peak > 0, "retirements missing from the peak gauge");
+        } else {
+            want!(at, peak == 0, "locked backend reports a {peak} B peak");
+        }
+        let bound = match p.backend {
+            Backend::Hp => HP_PEAK_BOUND,
+            Backend::Hybrid => HYBRID_PEAK_BOUND,
+            _ => u64::MAX,
+        };
+        want!(at, peak <= bound, "peak {peak} B exceeds {bound} B");
+        let unstalled_ok = p.profile.stalls_a_reader() || peak < UNSTALLED_PEAK_BOUND;
+        want!(at, unstalled_ok, "peak {peak} B with no stalled reader");
+        let (stalls, degraded) = (p.stall_events, p.degraded_ops);
+        if p.backend == Backend::Hybrid {
+            want!(
+                at,
+                degraded == 0 || stalls > 0,
+                "degraded ops without a stall"
+            );
+        } else {
+            want!(at, stalls + degraded == 0, "stall telemetry off hybrid");
+        }
+        let (retries, wasted) = (p.cas_retries, p.cas_wasted_nodes);
+        let cas_can_lose = p.threads > 1 && p.backend != Backend::Locked;
+        want!(at, cas_can_lose || retries == 0, "{retries} CAS retries");
+        want!(
+            at,
+            retries > 0 || wasted == 0,
+            "wasted nodes without a retry"
+        );
+        let read = p.read_op_ns;
+        want!(at, read > 0.0 && read < 1e6, "read_op_ns = {read}");
+        let fields = [
+            f.forks,
+            f.live_spaces_peak,
+            f.fork_p50_ns,
+            f.fork_p90_ns,
+            f.fork_p99_ns,
+            f.fork_max_ns,
+        ];
+        if p.profile != Profile::ForkStorm {
+            let zero = fields.iter().all(|&v| v == 0);
+            want!(
+                at,
+                zero,
+                "fork fields {fields:?} on a profile that never forks"
+            );
+            continue;
+        }
+        let forks = (p.threads * cfg.forks_per_thread) as u64;
+        want!(at, f.forks == forks, "forks = {}, want {forks}", f.forks);
+        let (live, live_peak) = (cfg.live_per_thread as u64, f.live_spaces_peak);
+        let rings_full = p.threads as u64 * (live + 1);
+        let in_range = 0 < live_peak && live_peak <= rings_full;
+        want!(at, in_range, "live_spaces_peak = {live_peak}");
+        // More forks than a ring holds: some ring filled and overflowed.
+        let filled = cfg.forks_per_thread <= cfg.live_per_thread || live_peak > live;
+        want!(at, filled, "no ring of {live} ever filled");
+        let percentiles = &fields[2..];
+        let monotone = 0 < f.fork_p50_ns && percentiles.windows(2).all(|w| w[0] <= w[1]);
+        want!(at, monotone, "fork percentiles {percentiles:?}");
+    }
+    for &profile in &cfg.profiles {
+        for &threads in &cfg.threads {
+            let point: Vec<&PointResult> = results
+                .iter()
+                .filter(|p| p.profile == profile && p.threads == threads)
+                .collect();
+            for &backend in &cfg.backends {
+                let n = point.iter().filter(|p| p.backend == backend).count();
+                let at = format!("{}/t{threads}/{}", profile.name(), backend.name());
+                want!(at, n == 1, "{n} records, want 1");
+            }
+            let Some(first) = point.first() else {
+                continue;
+            };
+            let a = &first.tally;
+            for p in &point[1..] {
+                let b = &p.tally;
+                let same = (a.faults, a.maps, a.unmaps, a.unmap_ranges)
+                    == (b.faults, b.maps, b.unmaps, b.unmap_ranges)
+                    // Hits depend on the interleaving above one thread.
+                    && (threads > 1 || a.fault_hits == b.fault_hits);
+                want!(label(p), same, "work differs from {}", first.backend.name());
+            }
+            let find = |backend| point.iter().find(|p| p.backend == backend);
+            if let (true, Some(epoch)) = (profile.stalls_a_reader(), find(Backend::Bonsai)) {
+                let epoch = epoch.peak_unreclaimed_bytes;
+                for p in [Backend::Hp, Backend::Hybrid].into_iter().filter_map(find) {
+                    let bytes = p.peak_unreclaimed_bytes;
+                    want!(label(p), bytes < epoch, "peak {bytes} B >= epoch {epoch} B");
+                }
+            }
+        }
+    }
+    if errs.is_empty() {
+        Ok(())
+    } else {
+        Err(errs)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cfg() -> SweepConfig {
+        SweepConfig {
+            threads: vec![1, 2],
+            profiles: vec![Profile::Metis, Profile::StalledReader, Profile::ForkStorm],
+            backends: Backend::ALL.to_vec(),
+            ops_per_thread: 1_000,
+            slots_per_thread: 16,
+            pages_per_slot: 8,
+            seed: 7,
+            forks_per_thread: 8,
+            live_per_thread: 4,
+            out: None,
+        }
+    }
+
+    /// One record per configured point, meeting every check.
+    fn clean_set(cfg: &SweepConfig) -> Vec<PointResult> {
+        let mut out = Vec::new();
+        for &profile in &cfg.profiles {
+            for &threads in &cfg.threads {
+                for &backend in &cfg.backends {
+                    let ops = (threads * cfg.ops_per_thread) as u64;
+                    let reclaims = backend.reclaim_kind().is_some();
+                    let grace = matches!(backend, Backend::Bonsai | Backend::Qsbr);
+                    let fork = ForkMetrics {
+                        forks: (threads * cfg.forks_per_thread) as u64,
+                        live_spaces_peak: (threads * cfg.live_per_thread + 1) as u64,
+                        fork_p50_ns: 100,
+                        fork_p90_ns: 200,
+                        fork_p99_ns: 300,
+                        fork_max_ns: 400,
+                    };
+                    out.push(PointResult {
+                        profile,
+                        backend,
+                        threads,
+                        elapsed: Duration::from_millis(1),
+                        tally: Tally {
+                            faults: ops - 3,
+                            fault_hits: ops / 2,
+                            maps: 1,
+                            unmaps: 1,
+                            unmap_ranges: 1,
+                            ..Tally::default()
+                        },
+                        retired: 100 * reclaims as u64,
+                        freed: 100 * reclaims as u64,
+                        peak_unreclaimed_bytes: match (reclaims, grace) {
+                            (false, _) => 0,
+                            // A grace-period backend under a stalled reader.
+                            (true, true) if profile.stalls_a_reader() => 50_000_000,
+                            (true, _) => 4_096,
+                        },
+                        stall_events: 0,
+                        degraded_ops: 0,
+                        cas_retries: 0,
+                        cas_wasted_nodes: 0,
+                        read_op_ns: 100.0,
+                        fork: if profile.forks_processes() {
+                            fork
+                        } else {
+                            ForkMetrics::default()
+                        },
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// `check` over a clean set with `seed` applied to the record `at`.
+    fn seeded(at: &str, seed: impl FnOnce(&mut PointResult)) -> Result<(), Vec<String>> {
+        let cfg = cfg();
+        let mut results = clean_set(&cfg);
+        seed(
+            results
+                .iter_mut()
+                .find(|p| label(p) == at)
+                .expect("record exists"),
+        );
+        check(&cfg, &results)
+    }
+
+    #[test]
+    fn clean_set_passes() {
+        let cfg = cfg();
+        assert_eq!(check(&cfg, &clean_set(&cfg)), Ok(()));
+    }
+
+    /// One seeded violation per check class: `check` must report exactly
+    /// that violation, against the seeded record.
+    #[test]
+    fn each_seeded_violation_is_reported_against_its_record() {
+        type Seed = fn(&mut PointResult);
+        let cases: [(&str, Seed, &str); 10] = [
+            (
+                "metis/t2/bonsai",
+                |p| p.freed -= 1,
+                "retired 100 != freed 99",
+            ),
+            (
+                "metis/t1/locked",
+                |p| p.tally.map_rejects = 1,
+                "map_rejects = 1 (must be 0)",
+            ),
+            (
+                "fork-storm/t2/qsbr",
+                |p| p.tally.unmap_misses = 2,
+                "unmap_misses = 2 (must be 0)",
+            ),
+            (
+                "stalled-reader/t2/hp",
+                |p| p.peak_unreclaimed_bytes = HP_PEAK_BOUND + 1,
+                "peak 262145 B exceeds 262144 B",
+            ),
+            (
+                "metis/t1/hybrid",
+                |p| p.peak_unreclaimed_bytes = HYBRID_PEAK_BOUND + 1,
+                "peak 1048577 B exceeds 1048576 B",
+            ),
+            (
+                "metis/t2/qsbr",
+                |p| p.peak_unreclaimed_bytes = UNSTALLED_PEAK_BOUND,
+                "peak 10000000 B with no stalled reader",
+            ),
+            (
+                "metis/t1/qsbr",
+                |p| p.stall_events = 1,
+                "stall telemetry off hybrid",
+            ),
+            (
+                "fork-storm/t2/hp",
+                |p| p.fork.live_spaces_peak = 4,
+                "no ring of 4 ever filled",
+            ),
+            (
+                "fork-storm/t1/locked",
+                |p| p.fork.fork_p90_ns = 50,
+                "fork percentiles [100, 50, 300, 400]",
+            ),
+            (
+                "metis/t1/hp",
+                |p| p.tally.fault_hits += 1,
+                "work differs from bonsai",
+            ),
+        ];
+        for (at, seed, violation) in cases {
+            assert_eq!(seeded(at, seed), Err(vec![format!("{at}: {violation}")]));
+        }
+    }
+
+    #[test]
+    fn flags_missing_backend() {
+        let cfg = cfg();
+        let mut results = clean_set(&cfg);
+        results.retain(|p| label(p) != "stalled-reader/t2/hybrid");
+        let errs = check(&cfg, &results).unwrap_err();
+        assert_eq!(errs, ["stalled-reader/t2/hybrid: 0 records, want 1"]);
+    }
+
+    #[test]
+    fn flags_stalled_peak_not_below_epoch() {
+        let errs = seeded("stalled-reader/t1/bonsai", |p| {
+            p.peak_unreclaimed_bytes = 4_096;
+        });
+        let tail = "peak 4096 B >= epoch 4096 B";
+        assert_eq!(
+            errs,
+            Err(vec![
+                format!("stalled-reader/t1/hp: {tail}"),
+                format!("stalled-reader/t1/hybrid: {tail}"),
+            ])
+        );
+    }
 }

@@ -160,21 +160,13 @@ impl Profile {
 
     /// Parses a CLI profile name.
     pub fn parse(s: &str) -> Result<Profile, String> {
-        match s {
-            "metis" => Ok(Profile::Metis),
-            "metis-phased" => Ok(Profile::MetisPhased),
-            "psearchy" => Ok(Profile::Psearchy),
-            "read-heavy" => Ok(Profile::ReadHeavy),
-            "uniform" => Ok(Profile::Uniform),
-            "writers" => Ok(Profile::Writers),
-            "stalled-reader" => Ok(Profile::StalledReader),
-            "fork-storm" => Ok(Profile::ForkStorm),
-            other => Err(format!(
-                "unknown profile {other:?} \
-                 (expected metis|metis-phased|psearchy|read-heavy|uniform|writers|\
-                 stalled-reader|fork-storm|all)"
-            )),
-        }
+        Profile::ALL
+            .into_iter()
+            .find(|p| p.name() == s)
+            .ok_or_else(|| {
+                let names: Vec<_> = Profile::ALL.map(Profile::name).into();
+                format!("unknown profile {s:?} (expected {}|all)", names.join("|"))
+            })
     }
 
     /// Whether the harness parks a stalled reader inside read-side

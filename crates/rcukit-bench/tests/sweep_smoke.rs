@@ -1,6 +1,6 @@
 //! In-process smoke test of the evaluation sweep: a tiny run against every
-//! backend must produce identical-work records, a clean reclaim check,
-//! and a well-formed JSON trajectory document.
+//! backend must pass the sweep's record check ([`sweep::check`]) and
+//! render a well-formed JSON trajectory document.
 
 use rcukit_bench::sweep::{self, Backend, PointResult, SweepConfig};
 use rcukit_bench::workload::Profile;
@@ -28,135 +28,25 @@ fn tiny_config() -> SweepConfig {
     }
 }
 
-/// The per-record sanity contract, shared by every test that runs a sweep
-/// (and mirrored by CI's trajectory sanity step): one place asserts every
-/// field of the v7 record shape, so a new column gets its checks here
-/// exactly once.
-fn check_record(point: &PointResult, cfg: &SweepConfig) {
-    // Fixed-work replay: every thread performs exactly its trace (the
-    // fork-storm chunks partition it, so the total is identical).
-    assert_eq!(
-        point.total_ops(),
-        (point.threads * cfg.ops_per_thread) as u64,
-        "{point:?}"
-    );
-    // Traces are valid by construction; rejects/misses mean backend bugs.
-    assert_eq!(point.tally.map_rejects, 0, "{point:?}");
-    assert_eq!(point.tally.unmap_misses, 0, "{point:?}");
-    assert_eq!(point.tally.unmap_range_misses, 0, "{point:?}");
-    // Every reclaiming backend must retire and free the same count
-    // after the final grace period; the locked baseline trivially
-    // passes (and never reports unreclaimed garbage).
-    assert!(point.reclaim_ok, "{point:?}");
-    if point.backend.reclaim_kind().is_some() {
-        assert!(point.retired > 0, "writer churn must retire nodes");
-        assert!(
-            point.peak_unreclaimed_bytes > 0,
-            "retirements must register on the peak gauge: {point:?}"
-        );
-    } else {
-        assert_eq!(point.peak_unreclaimed_bytes, 0, "{point:?}");
+/// Runs `cfg` and requires the records to pass the sweep's own contract
+/// check ([`sweep::check`]), which covers every per-record field and the
+/// cross-backend identical-work comparison.
+fn run_checked(cfg: &SweepConfig) -> Vec<PointResult> {
+    let results = sweep::run(cfg);
+    if let Err(violations) = sweep::check(cfg, &results) {
+        panic!("sweep contract violated:\n{}", violations.join("\n"));
     }
-    // Degradation telemetry belongs to the hybrid backend alone, and
-    // degraded retirements can only be counted after a stall was declared.
-    if point.backend != Backend::Hybrid {
-        assert_eq!(point.stall_events, 0, "{point:?}");
-        assert_eq!(point.degraded_ops, 0, "{point:?}");
-    } else if point.degraded_ops > 0 {
-        assert!(point.stall_events > 0, "{point:?}");
-    }
-    // CAS telemetry sanity: single-threaded replays can never lose a
-    // root CAS, and the locked baseline has no CAS at all.
-    if point.threads == 1 || point.backend == Backend::Locked {
-        assert_eq!(point.cas_retries, 0, "{point:?}");
-        assert_eq!(point.cas_wasted_nodes, 0, "{point:?}");
-    }
-    // Wasted nodes exist only where retries do.
-    if point.cas_retries == 0 {
-        assert_eq!(point.cas_wasted_nodes, 0, "{point:?}");
-    }
-    // The read-side microbench ran and produced a plausible latency:
-    // positive, and well under a millisecond per lookup.
-    assert!(
-        point.read_op_ns > 0.0 && point.read_op_ns < 1e6,
-        "{point:?}"
-    );
-    // Fork metrics: populated exactly on fork-storm records, zero
-    // elsewhere — and internally consistent where populated.
-    if point.profile == Profile::ForkStorm {
-        assert_eq!(
-            point.fork.forks,
-            (point.threads * cfg.forks_per_thread) as u64,
-            "{point:?}"
-        );
-        assert!(point.fork.live_spaces_peak > 0, "{point:?}");
-        assert!(
-            point.fork.live_spaces_peak <= (point.threads * (cfg.live_per_thread + 1)) as u64,
-            "live gauge exceeded every thread's ring bound: {point:?}"
-        );
-        if cfg.forks_per_thread > cfg.live_per_thread {
-            // Each thread forks more than its ring holds, so at least one
-            // ring must have filled: the storm genuinely ran concurrent
-            // tenants, it didn't fork-and-exit one space at a time.
-            assert!(
-                point.fork.live_spaces_peak >= cfg.live_per_thread as u64,
-                "no thread's live ring ever filled: {point:?}"
-            );
-        }
-        assert!(
-            point.fork.fork_p50_ns > 0,
-            "fork timer never ran: {point:?}"
-        );
-        assert!(
-            point.fork.fork_p50_ns <= point.fork.fork_p90_ns,
-            "{point:?}"
-        );
-        assert!(
-            point.fork.fork_p90_ns <= point.fork.fork_p99_ns,
-            "{point:?}"
-        );
-        assert!(
-            point.fork.fork_p99_ns <= point.fork.fork_max_ns,
-            "{point:?}"
-        );
-    } else {
-        assert_eq!(point.fork.forks, 0, "{point:?}");
-        assert_eq!(point.fork.live_spaces_peak, 0, "{point:?}");
-        assert_eq!(point.fork.fork_max_ns, 0, "{point:?}");
-    }
+    results
 }
 
 #[test]
 fn sweep_runs_every_backend_over_identical_work() {
     let cfg = tiny_config();
-    let results = sweep::run(&cfg);
+    let results = run_checked(&cfg);
     assert_eq!(
         results.len(),
         cfg.threads.len() * cfg.profiles.len() * cfg.backends.len()
     );
-
-    for point in &results {
-        check_record(point, &cfg);
-    }
-
-    // The same (profile, threads) trace replayed against each backend must
-    // tally identically — only elapsed time may differ.
-    for group in results.chunks(cfg.backends.len()) {
-        let a = &group[0];
-        for b in &group[1..] {
-            assert_eq!(a.profile, b.profile);
-            assert_eq!(a.threads, b.threads);
-            assert_eq!(a.tally.faults, b.tally.faults);
-            assert_eq!(a.tally.maps, b.tally.maps);
-            assert_eq!(a.tally.unmaps, b.tally.unmaps);
-            assert_eq!(a.tally.unmap_ranges, b.tally.unmap_ranges);
-            // Hit counts are only interleaving-independent single-threaded:
-            // a cross-arena fault races other threads' map/unmap replay.
-            if a.threads == 1 {
-                assert_eq!(a.tally.fault_hits, b.tally.fault_hits);
-            }
-        }
-    }
 }
 
 /// The acceptance test for bounded garbage: under the `stalled-reader`
@@ -172,8 +62,10 @@ fn sweep_runs_every_backend_over_identical_work() {
 /// freed regardless of the stalled reader.
 #[test]
 fn stalled_reader_peak_grows_with_window_on_epoch_but_not_hp_or_hybrid() {
-    fn stalled(ops: usize) -> (SweepConfig, Vec<sweep::PointResult>) {
-        let cfg = SweepConfig {
+    // Every backend still reclaims everything once the stall lifts
+    // (`run_checked` covers reclaim_ok / retired > 0).
+    fn stalled(ops: usize) -> Vec<PointResult> {
+        run_checked(&SweepConfig {
             threads: vec![2],
             profiles: vec![Profile::StalledReader],
             backends: vec![Backend::Bonsai, Backend::Hp, Backend::Hybrid],
@@ -184,27 +76,16 @@ fn stalled_reader_peak_grows_with_window_on_epoch_but_not_hp_or_hybrid() {
             forks_per_thread: 1,
             live_per_thread: 1,
             out: None,
-        };
-        let results = sweep::run(&cfg);
-        (cfg, results)
+        })
     }
 
-    let (short_cfg, short) = stalled(2_000);
-    let (long_cfg, long) = stalled(8_000);
+    let short = stalled(2_000);
+    let long = stalled(8_000);
     let (epoch_short, hp_short, hybrid_short) = (&short[0], &short[1], &short[2]);
     let (epoch_long, hp_long, hybrid_long) = (&long[0], &long[1], &long[2]);
     assert_eq!(epoch_short.backend, Backend::Bonsai);
     assert_eq!(hp_short.backend, Backend::Hp);
     assert_eq!(hybrid_short.backend, Backend::Hybrid);
-
-    // Both backends still reclaim everything once the stall lifts (the
-    // shared record contract covers reclaim_ok / retired > 0).
-    for point in &short {
-        check_record(point, &short_cfg);
-    }
-    for point in &long {
-        check_record(point, &long_cfg);
-    }
 
     // Epoch garbage accumulates for the whole window: quadrupling the ops
     // must at least double the peak (conservative to keep this robust).
